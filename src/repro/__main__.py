@@ -504,10 +504,11 @@ def main(argv: list[str] | None = None) -> int:
                              "'a:b' (end exclusive; default 42)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="with sweep: worker processes (default 1 "
-                             "= serial)")
+                             "= in-process batch; N > 1 = process "
+                             "pool under --backend auto)")
     parser.add_argument("--backend", default="auto",
                         choices=["auto", "batch", "serial", "process",
-                                 "thread", "remote"],
+                                 "remote"],
                         help="with sweep: execution backend (auto = "
                              "batch when --jobs 1, else process; "
                              "remote needs --server)")

@@ -5,7 +5,8 @@ package makes *many runs* data: a :class:`SweepSpec` (base specs x
 override axes x seeds) expands into :class:`RunSpec` units driven by
 :func:`run_sweep` through a pluggable :class:`Executor` backend —
 the batched two-phase executor (the single-job default), in-process
-serial, process pool, or thread pool — each run reducing to
+serial, a process pool sharding build-key groups, or the remote fleet
+service — each run reducing to
 a portable :class:`RunRecord` persisted by :class:`FleetStore`.  A
 content-addressed :class:`ResultCache` (keys are SHA-256 digests of
 ``(spec, seed, density)``) wraps any backend via
@@ -75,7 +76,6 @@ from .executors import (
     RemoteExecutor,
     RunOutcome,
     SerialExecutor,
-    ThreadedExecutor,
     make_executor,
 )
 from .gc import CacheUsage, GcReport, TierUsage, cache_usage, run_gc
@@ -99,7 +99,7 @@ __all__ = [
     "ProcessPoolBackend", "ProgressEvent", "RecordSet",
     "RemoteExecutor", "ResultCache", "RunOutcome", "RunRecord",
     "RunSpec", "SCHEMA_VERSION", "SerialExecutor", "SweepAxis",
-    "SweepSpec", "ThreadedExecutor", "TierUsage", "VariantDelta",
+    "SweepSpec", "TierUsage", "VariantDelta",
     "cache_usage", "compare_paths", "compare_record_sets",
     "comparison_summary", "fleet_summary", "make_executor",
     "parse_fail_on", "print_progress", "rebind_record",

@@ -1,20 +1,25 @@
 """Pluggable execution backends: the seam distributed fleets plug into.
 
-The :class:`Executor` protocol is deliberately tiny — ``submit`` one
-:class:`~repro.fleet.sweep.RunSpec` for a future, ``map`` many for an
-ordered stream of :class:`RunOutcome` values, ``close`` when done — so
-any backend that can move a JSON-sized payload can implement it: the
-three shipped here (in-process serial, process pool, thread pool), a
-result cache wrapping any of them
-(:class:`~repro.fleet.cache.CachingExecutor`), or a future remote
-worker fleet.
+The :class:`Executor` protocol is deliberately tiny — ``map`` many
+:class:`~repro.fleet.sweep.RunSpec` values for an ordered stream of
+:class:`RunOutcome` values, ``close`` when done — so any backend that
+can move a JSON-sized payload can implement it: the four registered
+here (in-process serial and batch, a process pool, the ``repro
+serve`` fleet service), or a result cache wrapping any of them
+(:class:`~repro.fleet.cache.CachingExecutor`).
 
-The unit of work is :func:`run_one` — a pure, top-level, picklable
-function from ``(spec JSON, seed, density)`` to a
-:class:`~repro.fleet.sweep.RunRecord`.  Nothing heavyweight crosses an
-executor boundary: workers receive a plain ``RunSpec`` dict and return
-a plain outcome dict, so the pool backends ship only JSON-sized
-payloads while the compiled world and raw dataset die with the worker.
+The unit of work is the build-key group: runs that share
+:meth:`~repro.fleet.sweep.RunSpec.build_key` compile one world and
+replay only its sampling phase (:func:`evaluate_group`).  ``batch``
+evaluates the groups in-process; ``process`` ships them to pool
+processes, each holding its own compiled cache, and cuts a group into
+chunks when one group would otherwise leave processes idle.  Nothing
+heavyweight crosses the process boundary: a pool process receives
+plain ``RunSpec`` dicts and returns plain outcome dicts
+(:func:`execute_run`), while compiled worlds stay where they were
+built.  :class:`SerialExecutor` keeps the from-scratch path
+(:func:`run_one`, one world per run) as the reference the others are
+checked against.
 
 Determinism contract: a record is a function of ``(spec, seed,
 density)`` alone (the scenario compiler draws every stochastic value
@@ -26,14 +31,15 @@ this.  Execution metadata (wall time, cache provenance) rides on the
 
 from __future__ import annotations
 
+import functools
 import time
-from concurrent.futures import Executor as _StdlibExecutor
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Iterable,
     Iterator,
     Mapping,
     Optional,
@@ -44,7 +50,7 @@ from typing import (
 
 from ..core.evaluation import InfrastructureEvaluation
 from ..scenarios.spec import ScenarioSpec
-from .compiled import CompiledScenarioCache
+from .compiled import CompiledCacheStats, CompiledScenarioCache
 from .sweep import RunRecord, RunSpec, run_key
 
 if TYPE_CHECKING:   # import cycle: repro.service imports the fleet layer
@@ -58,7 +64,8 @@ __all__ = [
     "RemoteExecutor",
     "RunOutcome",
     "SerialExecutor",
-    "ThreadedExecutor",
+    "build_key_groups",
+    "evaluate_group",
     "execute_run",
     "make_executor",
     "run_one",
@@ -70,13 +77,13 @@ def run_one(spec_json: str, seed: int, density: float = 6.0, *,
             variant: Sequence[tuple[str, Any]] = ()) -> RunRecord:
     """Evaluate one scenario at one seed; return its summary record.
 
-    Top-level and argument-pure so it pickles into worker processes:
-    the spec travels as JSON, the result as plain values.  The record
-    is stamped with the :func:`~repro.fleet.sweep.run_key` digest of
-    its inputs (``spec_key``) — the content identity that resume and
-    cross-fleet comparison verify against; the fallback ``run_id``
-    embeds its prefix so two variants that share a scenario name and
-    seed (differing only in overrides) never collide.
+    The from-scratch reference: builds the whole world for this one
+    run.  The record is stamped with the
+    :func:`~repro.fleet.sweep.run_key` digest of its inputs
+    (``spec_key``) — the content identity that resume and cross-fleet
+    comparison verify against; the fallback ``run_id`` embeds its
+    prefix so two variants that share a scenario name and seed
+    (differing only in overrides) never collide.
     """
     spec = ScenarioSpec.from_json(spec_json)
     spec_key = run_key(spec, seed, density)
@@ -110,20 +117,102 @@ class RunOutcome:
     cached: bool = False
 
 
-def execute_run(run_dict: Mapping[str, Any]) -> dict[str, Any]:
-    """Worker entry point: RunSpec dict in, timed outcome dict out."""
-    run = RunSpec.from_dict(run_dict)
-    started = time.perf_counter()
-    record = run_one(run.scenario.to_json(indent=0), run.seed,
-                     run.density, run_id=run.run_id, variant=run.variant)
-    return {"record": record.to_dict(),
-            "wall_s": time.perf_counter() - started}
+def build_key_groups(runs: Sequence[RunSpec], max_size: int = 0
+                     ) -> list[tuple[str, list[int]]]:
+    """``(build key, indices into runs)`` per group, in first-encounter
+    order; with ``max_size``, a larger group is cut into consecutive
+    chunks of at most that many runs.
+
+    Seeds iterate innermost in sweep expansion, so groups interleave:
+    a caller that yields in input order must buffer.
+    """
+    order: list[str] = []
+    groups: dict[str, list[int]] = {}
+    for index, run in enumerate(runs):
+        key = run.build_key()
+        members = groups.get(key)
+        if members is None:
+            members = groups[key] = []
+            order.append(key)
+        members.append(index)
+    size = max_size or len(runs)
+    return [(key, groups[key][start:start + size]) for key in order
+            for start in range(0, len(groups[key]), size)]
 
 
-def _outcome(payload: Mapping[str, Any]) -> RunOutcome:
-    return RunOutcome(record=RunRecord.from_dict(payload["record"]),
-                      wall_s=payload["wall_s"],
-                      cached=bool(payload.get("cached", False)))
+def evaluate_group(key: str, runs: Sequence[RunSpec],
+                   compiled: CompiledScenarioCache) -> Iterator[RunOutcome]:
+    """Evaluate runs sharing build key ``key`` against one compiled world.
+
+    The world comes from ``compiled`` (built on a miss); every run
+    replays only the sampling phase, sharing bit-identical per-cell
+    RTT blocks through one block cache that lives as long as the
+    group.  Outcomes are yielded in the order of ``runs``.
+    """
+    block_cache: dict[Any, Any] = {}
+    for run in runs:
+        # Per-run lookup so the cache counters tell the true story (1
+        # build + N-1 reuses for an N-run group); all but the first are
+        # in-memory hits.
+        world = compiled.get(run.scenario, run.seed, run.density, key=key)
+        started = time.perf_counter()
+        summary = world.evaluate(run.scenario, block_cache=block_cache,
+                                 check_key=False)
+        record = RunRecord(
+            run_id=run.run_id,
+            scenario=run.scenario.name,
+            seed=run.seed,
+            density=run.density,
+            variant=run.variant,
+            summary=summary,
+            spec_key=run.spec_key(),
+        )
+        yield RunOutcome(record=record,
+                         wall_s=time.perf_counter() - started)
+
+
+def _in_input_order(batches: Iterable[tuple[Sequence[int],
+                                            Iterable[RunOutcome]]]
+                    ) -> Iterator[RunOutcome]:
+    """Merge ``(indices, outcomes)`` batches back into input order,
+    yielding each outcome as soon as every earlier one has been."""
+    pending: dict[int, RunOutcome] = {}
+    next_index = 0
+    for indices, outcomes in batches:
+        for index, outcome in zip(indices, outcomes):
+            pending[index] = outcome
+            while next_index in pending:
+                yield pending.pop(next_index)
+                next_index += 1
+
+
+@functools.cache
+def _process_compiled() -> CompiledScenarioCache:
+    """The compiled cache of the current pool process (memory tier,
+    default capacity), created on its first chunk.  Module-level
+    because a pool process keeps nothing else between tasks."""
+    return CompiledScenarioCache()
+
+
+def execute_run(chunk: Mapping[str, Any]) -> dict[str, Any]:
+    """Pool-process entry point: evaluate one chunk of a build-key group.
+
+    ``chunk`` is ``{"build_key": key, "runs": [RunSpec dicts]}``; the
+    result is ``{"outcomes": [outcome dicts], "builds": n, "reused":
+    m}``, the last two being what this chunk did to the process's
+    compiled cache.  (The name predates chunks; ``perfbench`` hooks it
+    to count payload bytes and collect pool-process spans.)
+    """
+    compiled = _process_compiled()
+    builds, reused = compiled.stats.builds, compiled.stats.hits
+    runs = [RunSpec.from_dict(run) for run in chunk["runs"]]
+    outcomes = [{"record": outcome.record.to_dict(),
+                 "wall_s": outcome.wall_s}
+                for outcome in evaluate_group(chunk["build_key"], runs,
+                                              compiled)]
+    return {"outcomes": outcomes,
+            "builds": compiled.stats.builds - builds,
+            "reused": compiled.stats.hits - reused}
 
 
 @runtime_checkable
@@ -137,10 +226,6 @@ class Executor(Protocol):
 
     name: str
 
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        """Schedule one run; the future resolves to its outcome."""
-        ...
-
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         """Execute every run, yielding outcomes in input order."""
         ...
@@ -151,24 +236,22 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """In-process, one run at a time — the ``jobs=1`` behavior."""
+    """In-process, one from-scratch run at a time — the reference the
+    other backends' records are checked against."""
 
     name = "serial"
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = 1  # serial by definition; ``jobs`` accepted for symmetry
 
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        future: "Future[RunOutcome]" = Future()
-        try:
-            future.set_result(_outcome(execute_run(run.to_dict())))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         for run in runs:
-            yield _outcome(execute_run(run.to_dict()))
+            started = time.perf_counter()
+            record = run_one(run.scenario.to_json(indent=0), run.seed,
+                             run.density, run_id=run.run_id,
+                             variant=run.variant)
+            yield RunOutcome(record=record,
+                             wall_s=time.perf_counter() - started)
 
     def close(self, *, cancel: bool = False) -> None:
         pass
@@ -184,11 +267,10 @@ class BatchExecutor:
     """In-process execution through the compiled-scenario cache.
 
     The two-phase backend (and the ``jobs=1`` default): runs are
-    grouped by :meth:`~repro.fleet.sweep.RunSpec.build_key`, each group
-    compiles its world once (or pulls it from the cache), and every
-    member replays only the sampling phase — sharing bit-identical
-    per-cell RTT blocks through one per-group block cache.  A
-    campaign-only sweep of any width performs exactly one build.
+    grouped by :meth:`~repro.fleet.sweep.RunSpec.build_key` and each
+    group is evaluated by :func:`evaluate_group`, compiling its world
+    once (or pulling it from the cache).  A campaign-only sweep of any
+    width performs exactly one build.
 
     Records are bit-identical to :class:`SerialExecutor` output (the
     compiled-scenario equivalence suite pins this), and ``map`` still
@@ -209,60 +291,17 @@ class BatchExecutor:
         self.compiled = compiled if compiled is not None \
             else CompiledScenarioCache()
 
-    def _evaluate(self, run: RunSpec, compiled: Any,
-                  block_cache: dict[Any, Any]) -> RunOutcome:
-        started = time.perf_counter()
-        summary = compiled.evaluate(run.scenario, block_cache=block_cache,
-                                    check_key=False)
-        record = RunRecord(
-            run_id=run.run_id,
-            scenario=run.scenario.name,
-            seed=run.seed,
-            density=run.density,
-            variant=run.variant,
-            summary=summary,
-            spec_key=run.spec_key(),
-        )
-        return RunOutcome(record=record,
-                          wall_s=time.perf_counter() - started)
-
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        future: "Future[RunOutcome]" = Future()
-        try:
-            outcome, = self.map([run])
-            future.set_result(outcome)
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
+    @property
+    def build_stats(self) -> CompiledCacheStats:
+        """Builds performed and reused, over this executor's life."""
+        return self.compiled.stats
 
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         runs = list(runs)
-        # Group in first-encounter order; seeds iterate innermost in
-        # sweep expansion, so groups interleave and outcomes must be
-        # buffered to preserve input order.
-        group_order: list[str] = []
-        groups: dict[str, list[tuple[int, RunSpec]]] = {}
-        for index, run in enumerate(runs):
-            key = run.build_key()
-            members = groups.get(key)
-            if members is None:
-                members = groups[key] = []
-                group_order.append(key)
-            members.append((index, run))
-        pending: dict[int, RunOutcome] = {}
-        next_index = 0
-        for key in group_order:
-            block_cache: dict[Any, Any] = {}
-            for index, run in groups[key]:
-                # Per-run lookup so the cache counters tell the true
-                # story (1 build + N-1 reuses for an N-run group); all
-                # but the first are in-memory hits.
-                compiled = self.compiled.get(
-                    run.scenario, run.seed, run.density, key=key)
-                pending[index] = self._evaluate(run, compiled, block_cache)
-                while next_index in pending:
-                    yield pending.pop(next_index)
-                    next_index += 1
+        yield from _in_input_order(
+            (indices, evaluate_group(key, [runs[i] for i in indices],
+                                     self.compiled))
+            for key, indices in build_key_groups(runs))
 
     def close(self, *, cancel: bool = False) -> None:
         # Drop the live compiled worlds; the disk tier (if any) stays.
@@ -275,94 +314,66 @@ class BatchExecutor:
         self.close()
 
 
-class _PoolBackend:
-    """Shared submit/map plumbing over a ``concurrent.futures`` pool.
+class ProcessPoolBackend:
+    """Build-key groups sharded over worker processes — the ``jobs=N``
+    behavior.
 
-    The pool is created lazily at first use — sized to the work for
-    ``map``, to ``jobs`` for ``submit`` — and torn down by ``close``.
+    ``map`` groups the runs by build key and ships each group to a
+    pool process (:func:`execute_run`), which evaluates it against its
+    own process-local compiled cache.  A group larger than
+    ``ceil(len(runs) / jobs)`` runs is cut into chunks of at most that
+    size, so even a single-world sweep keeps every process busy; each
+    chunk compiles the world once in its process, unless that process
+    already holds it.
+
+    Payloads cross the boundary as plain dicts, so records are
+    bit-identical to :class:`SerialExecutor` output.  The pool starts
+    at first use and is torn down by ``close``.
     """
 
-    name = "pool"
+    name = "process"
 
     def __init__(self, jobs: int = 2) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self._pool: Optional[_StdlibExecutor] = None
+        self.build_stats = CompiledCacheStats()
+        self._pool: Optional[ProcessPoolExecutor] = None
 
-    def _make_pool(self, width: int) -> _StdlibExecutor:
-        raise NotImplementedError
-
-    def _ensure_pool(self) -> _StdlibExecutor:
-        # Always sized to ``jobs``: both pool kinds start workers on
-        # demand, so a small first sweep costs nothing extra and a big
-        # later one still gets the full width.
-        if self._pool is None:
-            self._pool = self._make_pool(self.jobs)
-        return self._pool
-
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        inner = self._ensure_pool().submit(execute_run, run.to_dict())
-        outer: "Future[RunOutcome]" = Future()
-
-        def _transfer(done: "Future[dict[str, Any]]") -> None:
-            # Everything — the run's own error, cancellation, a decode
-            # failure — must land on the outer future, or callers of
-            # ``result()`` would block forever.
-            try:
-                outer.set_result(_outcome(done.result()))
-            except BaseException as exc:
-                outer.set_exception(exc)
-
-        inner.add_done_callback(_transfer)
-        return outer
+    def _collect(self, future: "Future[dict[str, Any]]"
+                 ) -> list[RunOutcome]:
+        payload = future.result()
+        self.build_stats.builds += payload["builds"]
+        self.build_stats.memory_hits += payload["reused"]
+        return [RunOutcome(record=RunRecord.from_dict(outcome["record"]),
+                           wall_s=outcome["wall_s"])
+                for outcome in payload["outcomes"]]
 
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         runs = list(runs)
         if not runs:
             return
-        for payload in self._ensure_pool().map(
-                execute_run, [run.to_dict() for run in runs]):
-            yield _outcome(payload)
+        chunks = build_key_groups(runs, -(-len(runs) // self.jobs))
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        futures = [self._pool.submit(execute_run, {
+                       "build_key": key,
+                       "runs": [runs[i].to_dict() for i in indices]})
+                   for key, indices in chunks]
+        yield from _in_input_order(
+            (indices, self._collect(future))
+            for (_, indices), future in zip(chunks, futures))
 
     def close(self, *, cancel: bool = False) -> None:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=cancel)
             self._pool = None
 
-    def __enter__(self) -> "_PoolBackend":
+    def __enter__(self) -> "ProcessPoolBackend":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class ProcessPoolBackend(_PoolBackend):
-    """Fan out over worker processes — the ``jobs=N`` behavior.
-
-    Payloads cross the boundary as plain dicts, so records are
-    bit-identical to :class:`SerialExecutor` output.
-    """
-
-    name = "process"
-
-    def _make_pool(self, width: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=width)
-
-
-class ThreadedExecutor(_PoolBackend):
-    """Fan out over threads, sharing the interpreter.
-
-    Right for IO-light sweeps and remote-worker shims where runs spend
-    their time waiting, and as the cheap-startup option when process
-    spawn cost would dominate a small fleet.  Safe because ``run_one``
-    shares no mutable state between runs.
-    """
-
-    name = "thread"
-
-    def _make_pool(self, width: int) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=width)
 
 
 class RemoteExecutor:
@@ -413,15 +424,6 @@ class RemoteExecutor:
         self._client = ServiceClient(server, timeout_s=timeout_s,
                                      retry=retry)
 
-    def submit(self, run: RunSpec) -> "Future[RunOutcome]":
-        future: "Future[RunOutcome]" = Future()
-        try:
-            outcome, = self.map([run])
-            future.set_result(outcome)
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
     def map(self, runs: Sequence[RunSpec]) -> Iterator[RunOutcome]:
         runs = list(runs)
         if not runs:
@@ -458,12 +460,11 @@ class RemoteExecutor:
 
 
 #: Backend registry keyed by CLI name
-#: (``--backend serial|batch|process|thread|remote``).
+#: (``--backend serial|batch|process|remote``).
 BACKENDS: dict[str, Callable[..., "Executor"]] = {
     SerialExecutor.name: SerialExecutor,
     BatchExecutor.name: BatchExecutor,
     ProcessPoolBackend.name: ProcessPoolBackend,
-    ThreadedExecutor.name: ThreadedExecutor,
     RemoteExecutor.name: RemoteExecutor,
 }
 

@@ -100,9 +100,12 @@ def _stats_snapshot(resolved: Executor) -> dict[str, int]:
         # means the cache healed itself; records stay bit-identical
         # either way, which the chaos suite pins.
         stats["result_cache_corrupt"] = resolved.cache.stats.corrupt
-    if isinstance(inner, BatchExecutor):
-        stats["builds_performed"] = inner.compiled.stats.builds
-        stats["builds_reused"] = inner.compiled.stats.hits
+    # ``batch`` and ``process`` both count what their compiled caches
+    # built and reused; the other backends have no build phase here.
+    build_stats = getattr(inner, "build_stats", None)
+    if build_stats is not None:
+        stats["builds_performed"] = build_stats.builds
+        stats["builds_reused"] = build_stats.hits
     return stats
 
 
@@ -121,13 +124,15 @@ def run_sweep(sweep: SweepSpec, *, jobs: int = 1,
     """Execute every run of ``sweep``; optionally persist to ``out``.
 
     ``executor`` selects the backend: a registered name (``"serial"``,
-    ``"batch"``, ``"process"``, ``"thread"``), a live :class:`Executor`
-    instance (left open for reuse), or ``None`` to pick from ``jobs`` —
-    the batched two-phase executor when ``jobs <= 1``, a process pool
-    otherwise.  ``cache``
-    (a directory or :class:`ResultCache`) wraps the backend in a
-    :class:`CachingExecutor` so already-computed runs return without
-    recompute.  Results come back in expansion order either way.
+    ``"batch"``, ``"process"``), a live :class:`Executor` instance
+    (left open for reuse; the ``remote`` backend is passed this way,
+    since it needs a server URL), or ``None`` to pick from ``jobs`` —
+    the batched two-phase executor when ``jobs <= 1``, otherwise a
+    process pool that shards build-key groups over ``jobs`` processes.
+    ``cache`` (a directory or :class:`ResultCache`) wraps the backend
+    in a :class:`CachingExecutor` so already-computed runs return
+    without recompute.  Results come back in expansion order either
+    way.
     """
     runs = sweep.expand()
     total = len(runs)

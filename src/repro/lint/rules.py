@@ -29,7 +29,7 @@ REP005  frozen-spec mutation — ``object.__setattr__`` outside
         ``__post_init__`` breaks the "specs are immutable values"
         contract content hashing relies on.
 REP006  heavy/unpicklable Executor payloads — only plain-data records
-        may cross ``Executor.submit``/``map``; lambdas, nested
+        may cross ``Executor.map`` or a pool's ``submit``; lambdas, nested
         functions, and live model objects must stay in-process.
 """
 
@@ -323,13 +323,13 @@ class Rep006ExecutorPayload(Rule):
 
     Lambdas, nested functions, and live model objects do not pickle
     into workers (or cost far too much when they do).  Fix: submit
-    top-level functions taking plain data; return records, not
-    models.
+    top-level functions taking plain data; return (or yield) records,
+    not models.
     """
 
     code = "REP006"
     title = "heavy/unpicklable payload across the Executor boundary"
-    interests = (ast.Call, ast.Return)
+    interests = (ast.Call, ast.Return, ast.Yield)
 
     def _check_submission(self, node: ast.Call,
                           ctx: ModuleContext) -> None:
@@ -354,7 +354,7 @@ class Rep006ExecutorPayload(Rule):
                 f".{func.attr}() cannot pickle into a worker; hoist it "
                 f"to module level")
 
-    def _check_return(self, node: ast.Return,
+    def _check_output(self, node: ast.Return | ast.Yield,
                       ctx: ModuleContext) -> None:
         if ctx.current_function not in \
                 self.config.rep006_payload_functions:
@@ -368,19 +368,20 @@ class Rep006ExecutorPayload(Rule):
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None)
         if name in self.config.rep006_heavy_types:
+            verb = "yields" if isinstance(node, ast.Yield) else "returns"
             ctx.report(
                 self.code, node,
-                f"payload function '{ctx.current_function}' returns "
+                f"payload function '{ctx.current_function}' {verb} "
                 f"'{name}', which is too heavy/unpicklable to cross "
-                f"Executor.submit/map; return plain data (e.g. "
+                f"the executor boundary; return plain data (e.g. "
                 f"EvaluationSummary / RunRecord)")
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
         if isinstance(node, ast.Call):
             self._check_submission(node, ctx)
         else:
-            assert isinstance(node, ast.Return)
-            self._check_return(node, ctx)
+            assert isinstance(node, (ast.Return, ast.Yield))
+            self._check_output(node, ctx)
 
 
 #: the determinism family, in code order.

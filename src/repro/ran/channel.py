@@ -36,8 +36,9 @@ class ChannelModel:
     """Link-budget model for one carrier frequency.
 
     The shadowing-tile memo is shared whenever one compiled scenario
-    is sampled by several threads (the ``thread`` executor backend),
-    so it is ``guarded_by`` a plain :class:`threading.RLock` — plain
+    is sampled by several threads (callers sharing one
+    :class:`~repro.fleet.compiled.CompiledScenarioCache`), so it is
+    ``guarded_by`` a plain :class:`threading.RLock` — plain
     rather than a :class:`~repro.sim.sync.WatchedLock` because this
     sits on the sampling hot path (~2k lookups per evaluation) and
     the stdlib lock's C fast path matters here.  The draw itself is a

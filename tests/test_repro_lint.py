@@ -290,6 +290,18 @@ def test_rep006_flags_heavy_return_from_payload_function():
     assert lint(source, path="elsewhere.py", config=REP006_CONFIG) == []
 
 
+def test_rep006_flags_heavy_yield_from_payload_function():
+    findings = lint("""
+        from net.topology import Topology
+
+        def run_one(specs):
+            for spec in specs:
+                yield Topology(spec)
+    """, path="worker.py", config=REP006_CONFIG)
+    assert codes(findings) == ["REP006"]
+    assert "yields 'Topology'" in findings[0].message
+
+
 def test_rep006_accepts_top_level_function_and_plain_data():
     findings = lint("""
         def run_one(spec):
