@@ -1,45 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-evaluate      run the Section IV campaign, print Fig. 2/3, Table I and
-              the gap analysis (``--scenario NAME`` or ``--spec FILE``
-              picks the world; default klagenfurt)
-scenarios     list registered scenarios, or dump one as JSON
-sweep         run a parameter sweep / multi-seed fleet over scenario
-              specs (``--set path=v1,v2,...`` per axis, ``--seeds``,
-              ``--backend``, ``--jobs``, ``--cache``, ``--out``;
-              ``--resume`` finishes an interrupted fleet directory;
-              ``--backend remote --server URL`` executes on a fleet
-              service's workers)
-serve         run the fleet service: an HTTP control plane (scenario
-              registry, fleet submission, NDJSON progress streams,
-              compare reports, worker lease/result plane) over one
-              shared result cache, with periodic cache GC
-worker        lease runs from a fleet service and evaluate them via
-              the compiled/batch path, posting records back
-cache         inspect (``cache stats``) or garbage-collect
-              (``cache gc --max-bytes --max-age``) a shared cache
-              directory, both result and compiled tiers
-compare       align two or more fleet directories (or result caches)
-              by run content identity and print per-variant metric
-              deltas (``--baseline``, ``--csv``, ``--json``;
-              ``--fail-on METRIC:PCT`` gates CI with a nonzero exit)
-lint          statically check the determinism contracts (REP001..
-              REP006: ambient randomness, wall-clock reads, unordered
-              iteration, SIMD transcendentals, frozen-spec mutation,
-              executor payloads) and the thread-safety contracts
-              (REP101..REP106: guarded attributes, blocking under
-              locks, shared mutable class state, thread daemon flags,
-              lock ordering, executor-boundary cache mutation) against
-              ``[tool.repro-lint]`` and the committed baseline; exit 1
-              on any new finding (``--select``/``--ignore`` filter by
-              code or family, ``--explain REPxxx`` documents one rule)
-peering       run the Section V-A local-peering what-if
-upf           run the Section V-B UPF placement comparison
-cpf           run the Section V-C control-plane comparison
-requirements  print the Section III requirements matrix
-upgrade       run the Section VI 6G upgrade arms
+``python -m repro --help`` lists the commands and ``python -m repro
+<command> --help`` the flags of one.  Each flag is registered only on
+the commands that read it, so a misplaced flag is a usage error
+(exit 2) instead of being silently ignored.
 """
 
 from __future__ import annotations
@@ -63,23 +27,31 @@ from .core import (
     render_comparison_table,
 )
 
+# What bad user input (unknown names, unreadable or malformed files,
+# bad override values) raises from the library calls below.
+_INPUT_ERRORS = (KeyError, OSError, TypeError, ValueError)
 
-def _resolve_spec(args: argparse.Namespace):
-    """The selected spec, or a clean CLI error for bad user input."""
-    try:
-        if args.spec:
-            return scenarios.load_spec(args.spec)
-        return scenarios.get(args.scenario)
-    except (KeyError, OSError, TypeError, ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {message}", file=sys.stderr)
-        return None
+
+def _error(problem: object) -> int:
+    """Report a clean CLI error on stderr; the usage-error exit status."""
+    if isinstance(problem, KeyError):
+        problem = problem.args[0]
+    print(f"error: {problem}", file=sys.stderr)
+    return 2
+
+
+def _selected_spec(args: argparse.Namespace) -> scenarios.ScenarioSpec:
+    """The spec ``--spec`` or ``--scenario`` selects (else klagenfurt)."""
+    if args.spec:
+        return scenarios.load_spec(args.spec)
+    return scenarios.get(args.scenario or "klagenfurt")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    scenario = _resolve_spec(args)
-    if scenario is None:
-        return 2
+    try:
+        scenario = _selected_spec(args)
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     result = InfrastructureEvaluation(seed=args.seed,
                                       scenario=scenario).run()
     print(result.figure2(), end="\n\n")
@@ -91,11 +63,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
-    if args.scenario != "klagenfurt" or args.spec or args.json:
-        # Dump one spec as JSON (default scenario name only with --json).
-        spec = _resolve_spec(args)
-        if spec is None:
-            return 2
+    if args.scenario or args.spec or args.json:
+        # Dump one spec as JSON; --json alone dumps the default city.
+        try:
+            spec = _selected_spec(args)
+        except _INPUT_ERRORS as exc:
+            return _error(exc)
         print(spec.to_json())
         return 0
     rows = []
@@ -141,12 +114,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # The one backend with connection state: build it here so the
         # URL travels with it (run_sweep only threads jobs through).
         if not args.server:
-            print("error: --backend remote needs --server URL",
-                  file=sys.stderr)
-            return 2
+            return _error("--backend remote needs --server URL")
         backend = make_executor("remote", jobs=args.jobs,
                                 server=args.server)
-    cache = args.cache or None
     progress_fn = print_progress if args.progress else None
     try:
         if args.resume:
@@ -155,7 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "--resume needs --out DIR (the fleet to finish)")
             print(f"resuming {args.out}/ (jobs={args.jobs})")
             result = FleetStore(args.out).resume(
-                jobs=args.jobs, executor=backend, cache=cache,
+                jobs=args.jobs, executor=backend, cache=args.cache,
                 progress=progress_fn)
             print(f"re-ran {len(result) - result.cached_count} missing "
                   f"runs, reused {result.cached_count}")
@@ -184,12 +154,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                   f"{len(sweep.seeds)} seeds = {sweep.run_count} runs "
                   f"(backend={args.backend}, jobs={args.jobs})")
             result = run_sweep(sweep, jobs=args.jobs, executor=backend,
-                               cache=cache, out=args.out or None,
+                               cache=args.cache, out=args.out,
                                progress=progress_fn)
-    except (KeyError, OSError, TypeError, ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     print()
     print(fleet_summary(result))
     stats = result.exec_stats
@@ -214,18 +182,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .fleet import compare_paths, comparison_summary, parse_fail_on
 
     if len(args.paths) < 2:
-        print("error: compare needs at least two fleet or cache "
-              "directories", file=sys.stderr)
-        return 2
+        return _error("compare needs at least two fleet or cache "
+                      "directories")
     try:
         gates = [parse_fail_on(gate) for gate in args.fail_on or []]
-        comparison = compare_paths(args.paths,
-                                   baseline=args.baseline or None)
-    except (FileNotFoundError, KeyError, OSError, TypeError,
-            ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        comparison = compare_paths(args.paths, baseline=args.baseline)
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     if args.json:
         print(comparison.to_json())
     else:
@@ -267,9 +230,13 @@ def _parse_bytes(text: str) -> int:
     text = text.strip()
     scale = {"K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
     suffix = text[-1:].upper()
-    if suffix in scale:
-        return int(float(text[:-1]) * scale[suffix])
-    return int(text)
+    try:
+        if suffix in scale:
+            return int(float(text[:-1]) * scale[suffix])
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"byte budget wants N or N[K|M|G], got {text!r}") from None
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -280,23 +247,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     root = args.state or args.root
     try:
-        max_bytes = _parse_bytes(args.max_bytes) \
-            if args.max_bytes else None
         service = ReproService(
             root,
             host=args.host, port=args.port,
-            cache_dir=args.cache or None,
+            cache_dir=args.cache,
             lease_ttl_s=args.lease_ttl,
             journal_fsync=bool(args.state),
             max_fleets=args.max_fleets,
             max_pending=args.max_pending,
             lease_rate_per_s=args.lease_rate,
-            gc_max_bytes=max_bytes,
+            gc_max_bytes=args.max_bytes,
             gc_max_age_s=args.max_age,
             gc_interval_s=args.gc_interval)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     print(f"fleet service on {service.url}  (root {root}/, "
           f"cache {service.cache_dir}/)")
     recovery = service.recovery
@@ -332,9 +296,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     from .service import ServiceUnavailable, run_worker
 
-    if not args.server:
-        print("error: worker needs --server URL", file=sys.stderr)
-        return 2
     try:
         completed = run_worker(
             args.server,
@@ -343,48 +304,42 @@ def cmd_worker(args: argparse.Namespace) -> int:
             max_idle_s=args.max_idle,
             max_runs=args.max_runs,
             max_retries=args.max_retries,
-            cache_dir=args.cache or None,
+            cache_dir=args.cache,
             log=print)
     except KeyboardInterrupt:
         return 0
     except ServiceUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     except ValueError as exc:
         # A malformed --server URL surfaces from urllib as a bare
         # ValueError; fail with a message, not a traceback.
-        print(f"error: invalid server URL {args.server!r}: {exc}",
-              file=sys.stderr)
-        return 2
+        return _error(f"invalid server URL {args.server!r}: {exc}")
     print(f"worker done: {completed} runs evaluated")
     return 0
 
 
-def cmd_cache(args: argparse.Namespace) -> int:
-    from .fleet import cache_usage, run_gc
+def cmd_cache_stats(args: argparse.Namespace) -> int:
+    from .fleet import cache_usage
 
-    if len(args.paths) != 1 or args.paths[0] not in ("stats", "gc"):
-        print("error: usage is 'cache stats' or 'cache gc', with "
-              "--cache DIR naming the cache directory",
-              file=sys.stderr)
-        return 2
-    action = args.paths[0]
-    directory = args.cache or "result-cache"
     try:
-        if action == "stats":
-            usage = cache_usage(directory)
-            print(json.dumps(usage.to_dict(), indent=2, sort_keys=True)
-                  if args.json else usage.summary())
-        else:
-            max_bytes = _parse_bytes(args.max_bytes) \
-                if args.max_bytes else None
-            report = run_gc(directory, max_bytes=max_bytes,
-                            max_age_s=args.max_age)
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True)
-                  if args.json else report.summary())
+        usage = cache_usage(args.cache)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
+    print(json.dumps(usage.to_dict(), indent=2, sort_keys=True)
+          if args.json else usage.summary())
+    return 0
+
+
+def cmd_cache_gc(args: argparse.Namespace) -> int:
+    from .fleet import run_gc
+
+    try:
+        report = run_gc(args.cache, max_bytes=args.max_bytes,
+                        max_age_s=args.max_age)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True)
+          if args.json else report.summary())
     return 0
 
 
@@ -452,199 +407,218 @@ def cmd_upgrade(args: argparse.Namespace) -> int:
     return 0
 
 
-COMMANDS = {
-    "evaluate": cmd_evaluate,
-    "scenarios": cmd_scenarios,
-    "sweep": cmd_sweep,
-    "serve": cmd_serve,
-    "worker": cmd_worker,
-    "cache": cmd_cache,
-    "compare": cmd_compare,
-    "lint": cmd_lint,
-    "peering": cmd_peering,
-    "upf": cmd_upf,
-    "cpf": cmd_cpf,
-    "requirements": cmd_requirements,
-    "upgrade": cmd_upgrade,
-}
+def _world_flags(default: str | None,
+                 scenario_help: str) -> argparse.ArgumentParser:
+    """``--scenario`` or ``--spec``: which world a command runs."""
+    parent = argparse.ArgumentParser(add_help=False)
+    world = parent.add_mutually_exclusive_group()
+    world.add_argument("--scenario", default=default, metavar="NAME",
+                       help=scenario_help)
+    world.add_argument("--spec", default="", metavar="FILE",
+                       help="path to a ScenarioSpec JSON file")
+    return parent
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction of '6G Infrastructures for Edge AI'")
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
-    parser.add_argument("command", choices=sorted(COMMANDS),
-                        help="which experiment to run")
-    parser.add_argument("paths", nargs="*", metavar="DIR",
-                        help="with compare: two or more fleet "
-                             "directories or result caches (first is "
-                             "the baseline unless --baseline is "
-                             "given); with lint: files/directories to "
-                             "check (default: the configured paths); "
-                             "with cache: the action, stats or gc")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="scenario seed (default 42)")
-    parser.add_argument("--scenario", default="klagenfurt",
-                        help="registered scenario name (default "
-                             "klagenfurt); see the scenarios command")
-    parser.add_argument("--spec", default="",
-                        help="path to a ScenarioSpec JSON file "
-                             "(overrides --scenario)")
-    parser.add_argument("--json", action="store_true",
-                        help="with scenarios: dump the selected spec "
-                             "as JSON; with compare: print the full "
-                             "comparison as JSON instead of the table")
-    parser.add_argument("--set", action="append", metavar="PATH=V1,V2",
-                        help="with sweep: one axis of dotted-path "
-                             "override values (repeatable)")
-    parser.add_argument("--seeds", default="42",
-                        help="with sweep: seed list 'a,b,c' or range "
-                             "'a:b' (end exclusive; default 42)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="with sweep: worker processes (default 1 "
-                             "= in-process batch; N > 1 = process "
-                             "pool under --backend auto)")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "batch", "serial", "process",
-                                 "remote"],
-                        help="with sweep: execution backend (auto = "
-                             "batch when --jobs 1, else process; "
-                             "remote needs --server)")
-    parser.add_argument("--cache", default="", metavar="DIR",
-                        help="with sweep/serve/worker: "
-                             "content-addressed cache directory; with "
-                             "cache: the directory to inspect/collect "
-                             "(default result-cache)")
-    parser.add_argument("--server", default="", metavar="URL",
-                        help="with sweep --backend remote and worker: "
-                             "fleet service base URL")
-    parser.add_argument("--root", default="fleet-service",
-                        metavar="DIR",
-                        help="with serve: service state directory for "
-                             "fleet outputs (default fleet-service)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="with serve: bind address (default "
-                             "127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8642,
-                        help="with serve: TCP port, 0 = ephemeral "
-                             "(default 8642)")
-    parser.add_argument("--lease-ttl", type=float, default=60.0,
-                        dest="lease_ttl", metavar="SECONDS",
-                        help="with serve: worker lease timeout before "
-                             "a run is re-queued (default 60)")
-    parser.add_argument("--state", default="", metavar="DIR",
-                        help="with serve: durable-state mode — use DIR "
-                             "as the service root and fsync every "
-                             "journal append; a restarted server "
-                             "replays the journal and resumes its "
-                             "fleets")
-    parser.add_argument("--max-fleets", type=int, default=None,
-                        dest="max_fleets", metavar="N",
-                        help="with serve: refuse new submissions (429) "
-                             "while N fleets are already in flight")
-    parser.add_argument("--max-pending", type=int, default=None,
-                        dest="max_pending", metavar="N",
-                        help="with serve: bound the submission queue — "
-                             "429 when queued runs would exceed N")
-    parser.add_argument("--lease-rate", type=float, default=None,
-                        dest="lease_rate", metavar="PER_S",
-                        help="with serve: per-worker lease grant rate "
-                             "cap, in grants per second")
-    parser.add_argument("--max-bytes", default="",
-                        dest="max_bytes", metavar="N[K|M|G]",
-                        help="with serve/cache gc: evict "
-                             "least-recently-used cache entries until "
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+
+    def command(group: argparse._SubParsersAction, name: str, func: object,
+                summary: str, *parents: argparse.ArgumentParser
+                ) -> argparse.ArgumentParser:
+        sub = group.add_parser(name, help=summary, description=summary,
+                               parents=list(parents))
+        sub.set_defaults(func=func)
+        return sub
+
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=42,
+                      help="scenario seed (default 42)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-bytes", type=_parse_bytes, metavar="N[K|M|G]",
+                        help="evict least-recently-used cache entries until "
                              "the combined tiers fit this budget")
-    parser.add_argument("--max-age", type=float, default=None,
-                        dest="max_age", metavar="SECONDS",
-                        help="with serve/cache gc: drop cache entries "
-                             "older than this")
-    parser.add_argument("--gc-interval", type=float, default=300.0,
-                        dest="gc_interval", metavar="SECONDS",
-                        help="with serve: seconds between periodic GC "
-                             "passes (default 300)")
-    parser.add_argument("--worker-id", default="", dest="worker_id",
-                        help="with worker: stable identity reported "
-                             "to the service (default worker-<pid>)")
-    parser.add_argument("--poll", type=float, default=0.5,
-                        help="with worker: idle poll interval in "
-                             "seconds (default 0.5)")
-    parser.add_argument("--max-idle", type=float, default=None,
-                        dest="max_idle", metavar="SECONDS",
-                        help="with worker: exit after this long "
-                             "without work (default: run forever)")
-    parser.add_argument("--max-runs", type=int, default=None,
-                        dest="max_runs", metavar="N",
-                        help="with worker: exit after N completed "
-                             "runs (default: unlimited)")
-    parser.add_argument("--max-retries", type=int, default=5,
-                        dest="max_retries", metavar="N",
-                        help="with worker: connection attempts (with "
-                             "exponential backoff) per request before "
-                             "giving up (default 5)")
-    parser.add_argument("--resume", action="store_true",
-                        help="with sweep: finish the fleet in --out, "
-                             "re-running only missing records")
-    parser.add_argument("--progress", action="store_true",
-                        help="with sweep: print one done/total line "
-                             "per finished run (default quiet)")
-    parser.add_argument("--out", default="",
-                        help="with sweep: directory for manifest + "
-                             "per-run records + CSV")
-    parser.add_argument("--density", type=float, default=6.0,
-                        help="with sweep: mean drive-test positions "
-                             "per cell (default 6)")
-    parser.add_argument("--zip", action="store_true",
-                        help="with sweep: walk axes in lockstep "
-                             "instead of the cartesian product")
-    parser.add_argument("--baseline", default="", metavar="DIR",
-                        help="with compare: which of the given paths "
-                             "is the reference (default: the first)")
-    parser.add_argument("--fail-on", action="append", dest="fail_on",
-                        metavar="METRIC:PCT",
-                        help="with compare: exit 1 if METRIC moves "
-                             "more than PCT%% on any common variant, "
-                             "or if the variant grids drifted "
-                             "(repeatable; metrics: mobile_mean_ms, "
-                             "mobile_wired_factor, exceedance_percent, "
-                             "detour_km)")
-    parser.add_argument("--csv", default="", metavar="FILE",
-                        help="with compare: also write the delta rows "
-                             "as CSV")
-    parser.add_argument("--format", default="text",
-                        choices=["text", "json"],
-                        help="with lint: report format (default text)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="with lint: accept the current findings "
-                             "as the committed baseline")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="with lint: report every finding, "
-                             "ignoring the baseline file")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="with lint: print the REP rule catalog "
-                             "and exit")
-    parser.add_argument("--select", action="append", default=[],
-                        metavar="RULE",
-                        help="with lint: only run these rule codes or "
-                             "categories (determinism|concurrency); "
-                             "repeatable")
-    parser.add_argument("--ignore", action="append", default=[],
-                        metavar="RULE",
-                        help="with lint: skip these rule codes or "
-                             "categories; repeatable")
-    parser.add_argument("--explain", default=None, metavar="REPxxx",
-                        help="with lint: print one rule's contract "
-                             "and fix guidance, then exit")
-    args = parser.parse_args(argv)
-    if args.paths and args.command not in ("compare", "lint", "cache"):
-        # The DIR positionals exist for compare and lint alone;
-        # swallowing them elsewhere would turn a typo into a
-        # silently-defaulted run.
-        parser.error(f"unrecognized arguments for {args.command}: "
-                     f"{' '.join(args.paths)}")
-    return COMMANDS[args.command](args)
+    budget.add_argument("--max-age", type=float, metavar="SECONDS",
+                        help="drop cache entries older than this")
+
+    command(commands, "evaluate", cmd_evaluate,
+            "run the Section IV campaign: Fig. 2/3, Table I, the Fig. 4 "
+            "detour and the gap analysis", seed,
+            _world_flags("klagenfurt", "registered scenario (default "
+                         "klagenfurt); see the scenarios command"))
+
+    sub = command(commands, "scenarios", cmd_scenarios,
+                  "list the registered scenarios, or dump one spec as JSON",
+                  _world_flags(None, "dump this registered scenario"))
+    sub.add_argument("--json", action="store_true",
+                     help="dump the selected spec (default klagenfurt)")
+
+    sub = command(commands, "sweep", cmd_sweep,
+                  "run a parameter sweep / multi-seed fleet",
+                  _world_flags("klagenfurt", "comma-separated registered "
+                               "scenarios (default klagenfurt)"))
+    sub.add_argument("--set", action="append", metavar="PATH=V1,V2",
+                     help="one axis of dotted-path override values "
+                          "(repeatable)")
+    sub.add_argument("--seeds", default="42",
+                     help="seed list 'a,b,c' or range 'a:b' (end exclusive; "
+                          "default 42)")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker processes (default 1 = in-process batch; "
+                          "N > 1 = process pool under --backend auto)")
+    sub.add_argument("--backend", default="auto",
+                     choices=["auto", "batch", "serial", "process", "remote"],
+                     help="execution backend (auto = batch when --jobs 1, "
+                          "else process; remote needs --server)")
+    sub.add_argument("--cache", metavar="DIR",
+                     help="content-addressed result cache directory")
+    sub.add_argument("--server", default="", metavar="URL",
+                     help="fleet service base URL for --backend remote")
+    sub.add_argument("--resume", action="store_true",
+                     help="finish the fleet in --out, re-running only "
+                          "missing records")
+    sub.add_argument("--progress", action="store_true",
+                     help="print one done/total line per finished run")
+    sub.add_argument("--out", metavar="DIR",
+                     help="directory for manifest + per-run records + CSV")
+    sub.add_argument("--density", type=float, default=6.0,
+                     help="mean drive-test positions per cell (default 6)")
+    sub.add_argument("--zip", action="store_true",
+                     help="walk axes in lockstep instead of the cartesian "
+                          "product")
+
+    sub = command(commands, "serve", cmd_serve,
+                  "run the fleet service: HTTP control plane and worker "
+                  "lease plane over one shared cache, with periodic GC",
+                  budget)
+    state = sub.add_mutually_exclusive_group()
+    state.add_argument("--root", default="fleet-service", metavar="DIR",
+                       help="service state directory for fleet outputs "
+                            "(default fleet-service)")
+    state.add_argument("--state", default="", metavar="DIR",
+                       help="durable-state mode: use DIR as the root and "
+                            "fsync every journal append; a restarted "
+                            "server replays the journal and resumes")
+    sub.add_argument("--host", default="127.0.0.1",
+                     help="bind address (default 127.0.0.1)")
+    sub.add_argument("--port", type=int, default=8642,
+                     help="TCP port, 0 = ephemeral (default 8642)")
+    sub.add_argument("--cache", metavar="DIR",
+                     help="shared cache directory (default ROOT/cache)")
+    sub.add_argument("--lease-ttl", type=float, default=60.0,
+                     metavar="SECONDS",
+                     help="worker lease timeout before a run is re-queued "
+                          "(default 60)")
+    sub.add_argument("--max-fleets", type=int, metavar="N",
+                     help="refuse new submissions (429) while N fleets are "
+                          "in flight")
+    sub.add_argument("--max-pending", type=int, metavar="N",
+                     help="429 when queued runs would exceed N")
+    sub.add_argument("--lease-rate", type=float, metavar="PER_S",
+                     help="per-worker lease grants per second, at most")
+    sub.add_argument("--gc-interval", type=float, default=300.0,
+                     metavar="SECONDS",
+                     help="seconds between periodic GC passes (default 300)")
+
+    sub = command(commands, "worker", cmd_worker,
+                  "lease runs from a fleet service, evaluate them and post "
+                  "the records back")
+    sub.add_argument("--server", required=True, metavar="URL",
+                     help="fleet service base URL")
+    sub.add_argument("--worker-id", default="",
+                     help="identity reported to the service (default "
+                          "worker-<pid>)")
+    sub.add_argument("--poll", type=float, default=0.5,
+                     help="idle poll interval in seconds (default 0.5)")
+    sub.add_argument("--max-idle", type=float, metavar="SECONDS",
+                     help="exit after this long without work (default: "
+                          "never)")
+    sub.add_argument("--max-runs", type=int, metavar="N",
+                     help="exit after N completed runs (default: unlimited)")
+    sub.add_argument("--max-retries", type=int, default=5, metavar="N",
+                     help="connection attempts (exponential backoff) per "
+                          "request before giving up (default 5)")
+    sub.add_argument("--cache", metavar="DIR",
+                     help="local compiled-scenario cache directory")
+
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", default="result-cache", metavar="DIR",
+                       help="the cache directory (default result-cache)")
+    cache.add_argument("--json", action="store_true",
+                       help="print the report as JSON")
+    summary = ("inspect or garbage-collect a shared cache directory, both "
+               "result and compiled tiers")
+    actions = commands.add_parser(
+        "cache", help=summary, description=summary).add_subparsers(
+            dest="action", required=True, metavar="ACTION")
+    command(actions, "stats", cmd_cache_stats,
+            "report per-tier entry counts and sizes", cache)
+    command(actions, "gc", cmd_cache_gc,
+            "sweep staging files, expire old entries, then evict "
+            "least-recently-used ones down to a byte budget", cache, budget)
+
+    sub = command(commands, "compare", cmd_compare,
+                  "align fleet directories (or result caches) by run "
+                  "content identity; print per-variant metric deltas")
+    sub.add_argument("paths", nargs="+", metavar="DIR",
+                     help="two or more fleets or caches (the first is the "
+                          "baseline unless --baseline is given)")
+    sub.add_argument("--baseline", metavar="DIR",
+                     help="which of the given paths is the reference")
+    sub.add_argument("--fail-on", action="append", metavar="METRIC:PCT",
+                     help="exit 1 if METRIC moves more than PCT%% on any "
+                          "common variant, or if the variant grids drifted "
+                          "(repeatable; metrics: mobile_mean_ms, "
+                          "mobile_wired_factor, exceedance_percent, "
+                          "detour_km)")
+    sub.add_argument("--csv", default="", metavar="FILE",
+                     help="also write the delta rows as CSV")
+    sub.add_argument("--json", action="store_true",
+                     help="print the full comparison as JSON")
+
+    sub = command(commands, "lint", cmd_lint,
+                  "check the determinism (REP001..REP006) and thread-safety "
+                  "(REP101..REP106) contracts; exit 1 on a new finding")
+    sub.add_argument("paths", nargs="*", metavar="PATH",
+                     help="files/directories to check (default: the "
+                          "configured paths)")
+    sub.add_argument("--format", default="text", choices=["text", "json"],
+                     help="report format (default text)")
+    sub.add_argument("--write-baseline", action="store_true",
+                     help="accept the current findings as the baseline")
+    sub.add_argument("--no-baseline", action="store_true",
+                     help="report every finding, ignoring the baseline")
+    sub.add_argument("--list-rules", action="store_true",
+                     help="print the REP rule catalog and exit")
+    sub.add_argument("--select", action="append", default=[], metavar="RULE",
+                     help="only run these rule codes or categories "
+                          "(determinism|concurrency); repeatable")
+    sub.add_argument("--ignore", action="append", default=[], metavar="RULE",
+                     help="skip these rule codes or categories; repeatable")
+    sub.add_argument("--explain", metavar="REPxxx",
+                     help="print one rule's contract and fix guidance")
+
+    command(commands, "peering", cmd_peering,
+            "run the Section V-A local-peering what-if", seed)
+    command(commands, "upf", cmd_upf,
+            "run the Section V-B UPF placement comparison")
+    command(commands, "cpf", cmd_cpf,
+            "run the Section V-C control-plane comparison")
+    command(commands, "requirements", cmd_requirements,
+            "print the Section III requirements matrix")
+    command(commands, "upgrade", cmd_upgrade,
+            "run the Section VI 6G upgrade arms", seed)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

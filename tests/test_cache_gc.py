@@ -229,11 +229,15 @@ def test_cli_cache_gc_with_byte_suffix(cache_tree, capsys):
 
 
 def test_cli_cache_rejects_unknown_action(capsys):
-    assert main(["cache", "prune"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "prune"])
+    assert excinfo.value.code == 2
     assert "stats" in capsys.readouterr().err
 
 
 def test_cli_cache_rejects_bad_byte_budget(cache_tree, capsys):
-    assert main(["cache", "gc", "--cache", str(cache_tree),
-                 "--max-bytes", "lots"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "gc", "--cache", str(cache_tree),
+              "--max-bytes", "lots"])
+    assert excinfo.value.code == 2
     assert "error" in capsys.readouterr().err

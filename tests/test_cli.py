@@ -106,3 +106,55 @@ def test_cli_malformed_spec_file_is_clean_error(tmp_path, capsys):
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_cli_scenarios_dumps_the_default_scenario_by_name(capsys):
+    from repro.scenarios import ScenarioSpec, klagenfurt
+
+    assert main(["scenarios", "--scenario", "klagenfurt"]) == 0
+    assert ScenarioSpec.from_json(capsys.readouterr().out) == klagenfurt()
+
+
+COMMANDS = ["evaluate", "scenarios", "sweep", "serve", "worker", "cache",
+            "cache stats", "cache gc", "compare", "lint", "peering", "upf",
+            "cpf", "requirements", "upgrade"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_every_command_has_help(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split() + ["--help"])
+    assert excinfo.value.code == 0
+    assert "usage: python -m repro " + command in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    "scenarios --max-fleets 3",
+    "upf --seed 7",
+    "cache stats --max-bytes 1",
+    "lint --server http://x",
+    "worker --server http://x --zip",
+])
+def test_cli_misplaced_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "evaluate --scenario skopje --spec city.json",
+    "scenarios --scenario skopje --spec city.json",
+    "sweep --scenario skopje --spec city.json",
+    "serve --root service-root --state service-state",
+])
+def test_cli_overriding_flag_pairs_are_exclusive(argv, monkeypatch,
+                                                 capsys):
+    import repro.__main__ as cli
+
+    # Were the pair accepted, serve would block serving forever.
+    monkeypatch.setattr(cli, "cmd_serve", lambda args: 0)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err

@@ -763,5 +763,7 @@ def test_cli_sweep_remote_needs_a_server(capsys):
 
 
 def test_cli_worker_needs_a_server(capsys):
-    assert main(["worker"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker"])
+    assert excinfo.value.code == 2
     assert "--server" in capsys.readouterr().err
